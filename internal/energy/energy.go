@@ -158,11 +158,12 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
 	}
 	// Standardize features for a well-conditioned kernel.
+	xd := x.Data()
 	k.scale = make([]float64, d)
 	for j := 0; j < d; j++ {
 		m := 0.0
 		for i := 0; i < n; i++ {
-			m = math.Max(m, math.Abs(x.At(i, j)))
+			m = math.Max(m, math.Abs(xd[i*d+j]))
 		}
 		if m == 0 {
 			m = 1
@@ -170,10 +171,9 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 		k.scale[j] = m
 	}
 	xs := tensor.New(n, d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			xs.Set(x.At(i, j)/k.scale[j], i, j)
-		}
+	xsd := xs.Data()
+	for i, v := range xd {
+		xsd[i] = v / k.scale[i%d]
 	}
 	k.x = xs
 
@@ -183,18 +183,23 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 	}
 	k.yMean /= float64(n)
 
+	// The Gram matrix reads rows of xs in place, so a fit allocates the
+	// same few buffers whatever n (TestKRRFitAllocsIndependentOfN).
 	gram := tensor.New(n, n)
+	g := gram.Data()
 	for i := 0; i < n; i++ {
+		ri := xsd[i*d : (i+1)*d]
 		for j := i; j < n; j++ {
-			v := k.rbf(rowOf(xs, i), rowOf(xs, j))
-			gram.Set(v, i, j)
-			gram.Set(v, j, i)
+			v := k.rbf(ri, xsd[j*d:(j+1)*d])
+			g[i*n+j] = v
+			g[j*n+i] = v
 		}
-		gram.Set(gram.At(i, i)+k.Lambda, i, i)
+		g[i*n+i] += k.Lambda
 	}
 	rhs := tensor.New(n)
+	r := rhs.Data()
 	for i, v := range y {
-		rhs.Set(v-k.yMean, i)
+		r[i] = v - k.yMean
 	}
 	alpha, err := tensor.SolveSPD(gram, rhs)
 	if err != nil {
@@ -225,21 +230,13 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 	for j, v := range feat {
 		fs[j] = v / k.scale[j]
 	}
-	n := k.x.Shape()[0]
+	d := len(fs)
+	xd := k.x.Data()
 	out := k.yMean
-	for i := 0; i < n; i++ {
-		out += k.alpha.At(i) * k.rbf(fs, rowOf(k.x, i))
+	for i, a := range k.alpha.Data() {
+		out += a * k.rbf(fs, xd[i*d:(i+1)*d])
 	}
 	return out, nil
-}
-
-func rowOf(x *tensor.Tensor, i int) []float64 {
-	d := x.Shape()[1]
-	row := make([]float64, d)
-	for j := 0; j < d; j++ {
-		row[j] = x.At(i, j)
-	}
-	return row
 }
 
 // BacktestResult reports forecast error per model (E12's table).
@@ -318,12 +315,11 @@ func fitLinear(x *tensor.Tensor, y []float64) (*linReg, error) {
 	// Normal equations with small ridge: (XᵀX + εI) w = Xᵀy.
 	xtx := tensor.New(d+1, d+1)
 	xty := tensor.New(d + 1)
+	xd := x.Data()
+	row := make([]float64, d+1)
+	row[d] = 1
 	for i := 0; i < n; i++ {
-		row := make([]float64, d+1)
-		for j := 0; j < d; j++ {
-			row[j] = x.At(i, j)
-		}
-		row[d] = 1
+		copy(row, xd[i*d:(i+1)*d])
 		for a := 0; a <= d; a++ {
 			for b := 0; b <= d; b++ {
 				xtx.Set(xtx.At(a, b)+row[a]*row[b], a, b)

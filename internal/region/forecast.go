@@ -120,11 +120,10 @@ func (f *Forecaster) Predict(app string) float64 {
 func (f *Forecaster) fitPredict(hist []float64) (float64, error) {
 	n := len(hist) - f.lag
 	x := tensor.New(n, f.lag)
+	xd := x.Data()
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < f.lag; j++ {
-			x.Set(hist[i+j], i, j)
-		}
+		copy(xd[i*f.lag:(i+1)*f.lag], hist[i:i+f.lag])
 		y[i] = hist[i+f.lag]
 	}
 	k := energy.DefaultKRR()

@@ -8,7 +8,7 @@ import (
 // Cholesky computes the lower-triangular factor L of a symmetric positive
 // definite matrix A = L Lᵀ. It returns an error if A is not SPD (within
 // numerical tolerance), which callers like kernel ridge regression handle by
-// raising the regularization.
+// raising the regularization. A is only read.
 func Cholesky(a *Tensor) (*Tensor, error) {
 	n, err := squareDim(a)
 	if err != nil {
@@ -16,18 +16,21 @@ func Cholesky(a *Tensor) (*Tensor, error) {
 	}
 	l := New(n, n)
 	for i := 0; i < n; i++ {
+		ai := a.data[i*n : i*n+n]
+		li := l.data[i*n : i*n+n]
 		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+			lj := l.data[j*n : j*n+j]
+			sum := ai[j]
+			for k, v := range lj {
+				sum -= li[k] * v
 			}
 			if i == j {
 				if sum <= 0 {
 					return nil, fmt.Errorf("tensor: matrix not positive definite at pivot %d (%.3g)", i, sum)
 				}
-				l.Set(math.Sqrt(sum), i, j)
+				li[j] = math.Sqrt(sum)
 			} else {
-				l.Set(sum/l.At(j, j), i, j)
+				li[j] = sum / l.data[j*n+j]
 			}
 		}
 	}
@@ -35,39 +38,42 @@ func Cholesky(a *Tensor) (*Tensor, error) {
 }
 
 // CholeskySolve solves A x = b given the Cholesky factor L of A, via forward
-// then backward substitution.
+// then backward substitution. The backward pass overwrites the forward
+// result in place: x[i] needs y[i] and x[k] for k > i only.
 func CholeskySolve(l, b *Tensor) *Tensor {
 	n := l.Shape()[0]
+	x := New(n)
+	xd := x.data
 	// Forward: L y = b.
-	y := New(n)
 	for i := 0; i < n; i++ {
-		s := b.At(i)
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y.At(k)
+		li := l.data[i*n : i*n+i]
+		s := b.data[i]
+		for k, v := range li {
+			s -= v * xd[k]
 		}
-		y.Set(s/l.At(i, i), i)
+		xd[i] = s / l.data[i*n+i]
 	}
 	// Backward: Lᵀ x = y.
-	x := New(n)
 	for i := n - 1; i >= 0; i-- {
-		s := y.At(i)
+		s := xd[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x.At(k)
+			s -= l.data[k*n+i] * xd[k]
 		}
-		x.Set(s/l.At(i, i), i)
+		xd[i] = s / l.data[i*n+i]
 	}
 	return x
 }
 
 // SolveSPD solves A x = b for symmetric positive definite A. If A is not
 // SPD, jitter is added to the diagonal geometrically until factorization
-// succeeds (up to 8 attempts).
+// succeeds (up to 8 attempts). A is never modified: the first attempt
+// factors it directly, and only a jittered retry works on a copy.
 func SolveSPD(a, b *Tensor) (*Tensor, error) {
 	n, err := squareDim(a)
 	if err != nil {
 		return nil, err
 	}
-	work := a.Clone()
+	work := a
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
 		l, err := Cholesky(work)
@@ -79,9 +85,11 @@ func SolveSPD(a, b *Tensor) (*Tensor, error) {
 		} else {
 			jitter *= 10
 		}
-		work = a.Clone()
+		if work == a {
+			work = a.Clone()
+		}
 		for i := 0; i < n; i++ {
-			work.Set(work.At(i, i)+jitter, i, i)
+			work.data[i*n+i] = a.data[i*n+i] + jitter
 		}
 	}
 	return nil, fmt.Errorf("tensor: SolveSPD failed even with jitter %.3g", jitter)
