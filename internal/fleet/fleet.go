@@ -46,7 +46,8 @@ type EventKind int
 
 // Fleet trace event kinds.
 const (
-	// EventRoute fires when the router assigns a workflow to a site.
+	// EventRoute fires when the site the router assigned a workflow to
+	// takes it from its queue.
 	EventRoute EventKind = iota
 	// EventReject fires when admission control refuses a workflow.
 	EventReject
@@ -808,14 +809,6 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 		s.pending++
 		s.mu.Unlock()
 	}
-	if f.cfg.Trace != nil {
-		detail := fmt.Sprintf("needs=%d", len(needs))
-		if req.Guaranteed {
-			detail = fmt.Sprintf("needs=%d guaranteed bound=%.4gs deadline=%.4gs", len(needs), bound, req.Deadline)
-		}
-		f.trace(Event{Kind: EventRoute, Site: s.name, Tenant: tenant, Workflow: name,
-			Time: req.Arrival, Detail: detail})
-	}
 	t := &Ticket{Site: s.name, Tenant: tenant, Name: name, done: make(chan struct{})}
 	if !s.q.push(work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
 		guaranteed: req.Guaranteed, deadline: req.Deadline, bound: bound, debt: debt}) {
@@ -1235,6 +1228,17 @@ func (f *Fleet) runSite(s *site) {
 
 func (f *Fleet) serve(s *site, w work) {
 	t := w.t
+	if f.cfg.Trace != nil {
+		// The route is traced here, not in Submit, so each site's trace is a
+		// function of its queue order alone: a Submit racing this worker
+		// cannot interleave its line with the previous workflow's events.
+		detail := fmt.Sprintf("needs=%d", len(w.needs))
+		if w.guaranteed {
+			detail = fmt.Sprintf("needs=%d guaranteed bound=%.4gs deadline=%.4gs", len(w.needs), w.bound, w.deadline)
+		}
+		f.trace(Event{Kind: EventRoute, Site: s.name, Tenant: t.Tenant, Workflow: t.Name,
+			Time: w.arrival, Detail: detail})
+	}
 	s.mu.Lock()
 	start := w.arrival
 	if s.busyUntil > start {

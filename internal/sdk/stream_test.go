@@ -139,7 +139,7 @@ func renderStreamTrace(t *testing.T) []byte {
 
 // TestStreamDeterministicTrace extends the PR-6 determinism contract to
 // the streaming tier: the full window-level trace of an E-stream run —
-// arrivals, closes, sheds, swaps, completions — must be byte-identical
+// closes, sheds, swaps, completions — must be byte-identical
 // whether Go runs the engine on one CPU or eight. CI runs this under
 // -race.
 func TestStreamDeterministicTrace(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // window is one closed batch of events moving through the stage chain. The
 // arrival times are kept so end-to-end latency is recorded per event when
 // the window clears the final stage. Windows are recycled through a
-// freelist, so the steady-state per-event path allocates nothing.
+// freelist, so the steady-state step allocates nothing.
 type window struct {
 	arrivals []float64
 }
@@ -62,8 +62,8 @@ type pipeline struct {
 	idx    int
 	stages []stageRun
 
-	open    *window // filling window (nil between windows)
-	flushAt float64 // scheduled age-flush time of the open window
+	open *window // drawn window awaiting its scheduled close
+	next float64 // the source's next arrival, drawn but not yet in a window
 
 	// ingress is the unbounded overflow buffer of the Block policy: windows
 	// that find stage 0's bounded queue full wait here instead of being
@@ -88,7 +88,7 @@ type Engine struct {
 	pipes  []*pipeline
 	devs   []*devState
 	heap   *runtime.TimeHeap
-	stride int // heap Seq slots per pipeline: arrival, flush, per-stage done
+	stride int // heap Seq slots per pipeline: two close slots, per-stage done
 
 	pool      []*window // window freelist
 	winEvents int       // largest WindowEvents across pipelines (freelist cap)
@@ -96,7 +96,10 @@ type Engine struct {
 	ran       bool
 }
 
-// Event slot offsets within a pipeline's Seq stride.
+// Event slot offsets within a pipeline's Seq stride. A window closes in
+// one of the first two slots: at its last arrival (size or source tail) or
+// at its age deadline, so an arrival at the deadline sorts before the
+// flush and still joins the window.
 const (
 	slotArrival = 0
 	slotFlush   = 1
@@ -220,7 +223,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 	}
 
 	e.stride = maxStages + slotDone
-	e.heap = runtime.NewTimeHeap(len(e.pipes) * (e.stride + 2))
+	e.heap = runtime.NewTimeHeap(len(e.pipes) * e.stride)
 	e.pool = make([]*window, 0, len(e.pipes)*(maxStages*(e.qcap+2)+2))
 	return e, nil
 }
@@ -233,60 +236,65 @@ func (e *Engine) Run() (Stats, error) {
 		return Stats{}, fmt.Errorf("stream: engine already ran (single-shot)")
 	}
 	e.ran = true
-	for _, p := range e.pipes {
-		e.heap.Push(runtime.TimeItem{Time: p.spec.Arrivals.Next(), Seq: p.idx*e.stride + slotArrival})
-	}
+	e.start()
 	for e.heap.Len() > 0 {
 		e.step()
 	}
 	return e.stats(), nil
 }
 
-// step processes the next modelled-time event. This is the per-event hot
-// path the zero-alloc budget pins.
+// start draws every pipeline's first arrival and fills its first window.
+func (e *Engine) start() {
+	for _, p := range e.pipes {
+		p.next = p.spec.Arrivals.Next()
+		e.fill(p)
+	}
+}
+
+// step processes the next modelled-time event: a window close or a stage
+// completion. This is the hot path the zero-alloc budget pins.
 func (e *Engine) step() {
 	it := e.heap.PopMin()
 	p := e.pipes[it.Seq/e.stride]
 	slot := it.Seq % e.stride
-	switch slot {
-	case slotArrival:
-		e.arrive(p, it.Time)
-	case slotFlush:
-		e.flushTimer(p, it.Time)
-	default:
-		e.stageDone(p, slot-slotDone, it.Time)
+	if slot < slotDone {
+		e.closeWindow(p, it.Time)
+		e.fill(p)
+		return
 	}
+	e.stageDone(p, slot-slotDone, it.Time)
 }
 
-// arrive admits one source event into the pipeline's open window and
-// schedules the next arrival.
-func (e *Engine) arrive(p *pipeline, t float64) {
-	p.generated++
-	if p.open == nil {
-		p.open = e.getWindow()
-		if p.spec.WindowSeconds > 0 {
-			p.flushAt = t + p.spec.WindowSeconds
-			e.heap.Push(runtime.TimeItem{Time: p.flushAt, Seq: p.idx*e.stride + slotFlush})
+// fill draws the pipeline's next window of arrivals, starting at p.next,
+// and schedules its one close: on size or at the source's tail at its last
+// arrival, or on age at first arrival + WindowSeconds, whichever comes
+// first. Gaps are drawn in the same per-pipeline order as an
+// arrival-at-a-time source, and nothing outside the pipeline reads a
+// window before it closes, so drawing ahead changes no event.
+func (e *Engine) fill(p *pipeline) {
+	if p.generated == p.spec.Events {
+		return
+	}
+	w := e.getWindow()
+	p.open = w
+	t := p.next
+	at, slot := t+p.spec.WindowSeconds, slotFlush
+	for {
+		w.arrivals = append(w.arrivals, t)
+		p.generated++
+		if p.generated < p.spec.Events {
+			p.next = t + p.spec.Arrivals.Next()
 		}
+		if len(w.arrivals) == p.spec.WindowEvents || p.generated == p.spec.Events {
+			at, slot = t, slotArrival
+			break
+		}
+		if p.spec.WindowSeconds > 0 && p.next > at {
+			break
+		}
+		t = p.next
 	}
-	p.open.arrivals = append(p.open.arrivals, t)
-	if len(p.open.arrivals) >= p.spec.WindowEvents {
-		e.closeWindow(p, t)
-	}
-	if p.generated < p.spec.Events {
-		e.heap.Push(runtime.TimeItem{Time: t + p.spec.Arrivals.Next(), Seq: p.idx*e.stride + slotArrival})
-	} else if p.open != nil {
-		// Source exhausted: flush the undersized tail window now.
-		e.closeWindow(p, t)
-	}
-}
-
-// flushTimer fires a window's age deadline; stale timers (the window
-// already closed on size) are recognized by the flushAt mismatch.
-func (e *Engine) flushTimer(p *pipeline, t float64) {
-	if p.open != nil && p.flushAt == t && len(p.open.arrivals) > 0 {
-		e.closeWindow(p, t)
-	}
+	e.heap.Push(runtime.TimeItem{Time: at, Seq: p.idx*e.stride + slot})
 }
 
 // closeWindow seals the open window and offers it to the stage chain under
@@ -294,7 +302,6 @@ func (e *Engine) flushTimer(p *pipeline, t float64) {
 func (e *Engine) closeWindow(p *pipeline, t float64) {
 	w := p.open
 	p.open = nil
-	p.flushAt = 0
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(Event{Kind: EventWindowClose, Pipeline: p.spec.Name,
 			Time: t, Events: len(w.arrivals)})

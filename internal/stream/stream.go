@@ -12,10 +12,15 @@
 // reconfigurable stream processing).
 //
 // The engine is a single-threaded discrete-event simulation over the
-// runtime.TimeHeap event core: all time is modelled seconds, the event
-// order is a total deterministic order (time, then a fixed per-pipeline
-// event slot), and the steady-state per-event path allocates nothing —
-// which is what keeps million-event feeds wall-clock feasible and trace
+// runtime.TimeHeap event core. Its events are window closes and stage
+// completions; arrivals are not events. Each pipeline's source draws a
+// whole window of arrivals in one step and schedules only the window's
+// close — at its last arrival when it fills or the source runs dry, or at
+// its age deadline — because nothing outside a pipeline can observe an
+// arrival before its window closes. All time is modelled seconds, the
+// event order is a total deterministic order (time, then a fixed
+// per-pipeline event slot), and the steady-state step allocates nothing —
+// which is what keeps million-event feeds wall-clock cheap and trace
 // streams byte-identical across GOMAXPROCS settings.
 package stream
 
@@ -111,8 +116,8 @@ type EventKind int
 
 // Stream trace event kinds.
 const (
-	// EventWindowClose fires when a window fills (or its age flush fires)
-	// and enters the stage chain.
+	// EventWindowClose fires when a window fills (or its age flush fires,
+	// or the source runs dry) and enters the stage chain.
 	EventWindowClose EventKind = iota
 	// EventShed fires when an overloaded queue drops a window (Shed
 	// policy).
