@@ -191,16 +191,21 @@ kernel bare {
 	}
 }
 
-func TestSpecializedShapes(t *testing.T) {
+func TestInferShapes(t *testing.T) {
 	k := mustParse(t, axpySrc)
-	res, err := k.Run(Binding{Tensors: map[string]*tensor.Tensor{
+	sh, err := k.Infer(Binding{Tensors: map[string]*tensor.Tensor{
 		"x": tensor.New(3), "y": tensor.New(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes := SpecializedShapes(res)
-	if len(shapes["out"]) != 1 || shapes["out"][0] != 3 {
-		t.Errorf("shapes = %v", shapes)
+	if len(sh.Shape["out"]) != 1 || sh.Shape["out"][0] != 3 {
+		t.Errorf("shapes = %v", sh.Shape)
+	}
+	if n, ok := sh.Size("out"); !ok || n != 3 {
+		t.Errorf("Size(out) = %d, %v; want 3, true", n, ok)
+	}
+	if _, ok := sh.Size("nope"); ok {
+		t.Error("Size of an unknown name must report false")
 	}
 }
 

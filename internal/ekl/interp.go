@@ -3,6 +3,7 @@ package ekl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"everest/internal/tensor"
@@ -14,19 +15,45 @@ type Binding struct {
 	Scalars map[string]float64
 }
 
-// Result holds the tensors produced by a kernel run.
+// Shapes is everything compiling a kernel needs from a binding: the
+// extents the symbolic dimensions unified with, the iteration space of
+// every statement, and the shape of every tensor name (inputs,
+// temporaries and outputs). Kernel.Infer derives it without computing the
+// kernel; Kernel.Run carries the same record in its Result.
+type Shapes struct {
+	// Dims maps symbolic dimension names to the concrete extents they were
+	// unified with at bind time.
+	Dims map[string]int
+	// Trace records, per statement, the inferred iteration space. The MLIR
+	// lowering uses it to emit concrete loop nests.
+	Trace []StmtInfo
+	// Shape maps every bound or assigned tensor name to its final shape.
+	Shape map[string][]int
+}
+
+// Size returns the element count of the named tensor and whether the
+// name is known.
+func (s *Shapes) Size(name string) (int, bool) {
+	shape, ok := s.Shape[name]
+	if !ok {
+		return 0, false
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n, true
+}
+
+// Result holds the tensors produced by a kernel run, plus the Shapes
+// record the run inferred on the way.
 type Result struct {
 	// Outputs maps declared output names to their tensors.
 	Outputs map[string]*tensor.Tensor
 	// All maps every assigned name (including temporaries) to its tensor,
 	// useful for debugging and for the lowering tests.
 	All map[string]*tensor.Tensor
-	// Dims maps symbolic dimension names to the concrete extents they were
-	// unified with at bind time.
-	Dims map[string]int
-	// Trace records, per executed statement, the inferred iteration space.
-	// The MLIR lowering uses it to emit concrete loop nests.
-	Trace []StmtInfo
+	Shapes
 }
 
 // StmtInfo records the iteration space inferred for one statement.
@@ -39,18 +66,20 @@ type StmtInfo struct {
 
 // Run type-checks the kernel against the binding and interprets it. This is
 // the reference semantics of EKL: the HLS path must produce numerically
-// identical results (experiment E1).
+// identical results (experiment E1). Each statement is planned (iteration
+// space and target shape, shared with Infer) and then evaluated element by
+// element.
 func (k *Kernel) Run(b Binding) (*Result, error) {
-	env, dims, err := k.bind(b)
+	env, err := k.bind(b)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range k.Stmts {
-		if err := env.exec(s); err != nil {
+		if err := env.exec(s, execStore); err != nil {
 			return nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
 		}
 	}
-	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Dims: dims, Trace: env.trace}
+	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Shapes: env.shapes}
 	for _, out := range k.Outputs {
 		t, ok := env.tensors[out.Name]
 		if !ok {
@@ -59,6 +88,110 @@ func (k *Kernel) Run(b Binding) (*Result, error) {
 		res.Outputs[out.Name] = t
 	}
 	return res, nil
+}
+
+// Infer type-checks the kernel against the binding and infers every
+// statement's iteration space and every tensor's shape without computing
+// the kernel, so its cost follows the program, not the data. It fails
+// exactly when Run fails on the same binding, with the same error.
+//
+// Only values read by a computed subscript (anything but a bare index
+// variable, e.g. the gather v[t[x], x] or an iparam subscript) can make a
+// statement fail at one element and not another. Statements with such a
+// subscript still run every element, and the statements whose results
+// such a subscript reads, directly or through other statements, still
+// compute their values. Every other statement can only fail the same way
+// at every element (an unbound identifier, a bare tensor of rank > 0, an
+// unknown function), so evaluating one symbolic element — and one term of
+// each reduction — finds the error Run would, when the iteration space is
+// non-empty.
+func (k *Kernel) Infer(b Binding) (*Shapes, error) {
+	env, err := k.bind(b)
+	if err != nil {
+		return nil, err
+	}
+	for i, mode := range k.inferModes() {
+		s := k.Stmts[i]
+		if err := env.exec(s, mode); err != nil {
+			return nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
+		}
+	}
+	sh := env.shapes // a copy, so the caller does not keep the tensors alive
+	return &sh, nil
+}
+
+// execMode says how much of a statement's element loop runs.
+type execMode int
+
+const (
+	// execProbe evaluates one symbolic element and stores nothing.
+	execProbe execMode = iota
+	// execCheck evaluates every element for its errors and stores nothing.
+	execCheck
+	// execStore evaluates every element and stores the result.
+	execStore
+)
+
+// inferModes decides how Infer runs each statement: execCheck for a
+// statement with a computed subscript, execStore for every statement
+// assigning a name whose values a computed subscript reads (directly or
+// through other stored statements), execProbe otherwise. Which names are
+// tensors or parameters at each statement — and so which subscripts are
+// bare index variables — is fixed by the declarations and the statement
+// order, so this needs no binding.
+func (k *Kernel) inferModes() []execMode {
+	scope := make(map[string]bool, len(k.Inputs)+len(k.Params)+len(k.Stmts))
+	for _, in := range k.Inputs {
+		scope[in.Name] = true
+	}
+	for _, p := range k.Params {
+		scope[p.Name] = true
+	}
+	modes := make([]execMode, len(k.Stmts))
+	reads := make([][]string, len(k.Stmts))
+	needed := make(map[string]bool)
+	readsOf := func(x Expr, into func(string)) {
+		walkExpr(x, func(y Expr) {
+			if id, ok := y.(IdentRef); ok && scope[id.Name] {
+				into(id.Name)
+			}
+		})
+	}
+	for i, s := range k.Stmts {
+		index := func(ix Expr) {
+			if id, ok := ix.(IdentRef); ok && !scope[id.Name] {
+				return // bare index variable: in range by construction
+			}
+			modes[i] = execCheck
+			readsOf(ix, func(name string) { needed[name] = true })
+		}
+		for _, le := range s.LHS {
+			index(le)
+			readsOf(le, func(name string) { reads[i] = append(reads[i], name) })
+		}
+		walkExpr(s.RHS, func(x Expr) {
+			if sub, ok := x.(SubscriptExpr); ok {
+				for _, ix := range sub.Indices {
+					index(ix)
+				}
+			}
+		})
+		readsOf(s.RHS, func(name string) { reads[i] = append(reads[i], name) })
+		scope[s.Name] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, s := range k.Stmts {
+			if needed[s.Name] && modes[i] != execStore {
+				modes[i] = execStore
+				changed = true
+				for _, name := range reads[i] {
+					needed[name] = true
+				}
+			}
+		}
+	}
+	return modes
 }
 
 // Check performs the static (binding-independent) checks: unique names,
@@ -94,10 +227,10 @@ func (k *Kernel) Check() error {
 		assigned[s.Name] = true
 		var bad error
 		// A pair constructor is only legal as the full statement RHS; any
-		// pair nested below the root is an error.
-		rootsToWalk := []Expr{s.RHS}
+		// pair nested below the root, or in an LHS subscript, is an error.
+		rootsToWalk := append([]Expr{s.RHS}, s.LHS...)
 		if p, ok := s.RHS.(PairExpr); ok {
-			rootsToWalk = []Expr{p.A, p.B}
+			rootsToWalk = append([]Expr{p.A, p.B}, s.LHS...)
 		}
 		for _, root := range rootsToWalk {
 			walkExpr(root, func(e Expr) {
@@ -128,77 +261,98 @@ func (k *Kernel) Check() error {
 
 // bind validates the binding against the declarations and unifies symbolic
 // dimension extents.
-func (k *Kernel) bind(b Binding) (*evalEnv, map[string]int, error) {
+func (k *Kernel) bind(b Binding) (*evalEnv, error) {
 	if err := k.Check(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	env := &evalEnv{
 		kernel:  k,
 		tensors: make(map[string]*tensor.Tensor),
 		scalars: make(map[string]float64),
+		shapes: Shapes{
+			Dims:  make(map[string]int),
+			Shape: make(map[string][]int),
+		},
 	}
-	dims := make(map[string]int)
+	dims := env.shapes.Dims
 	for _, in := range k.Inputs {
 		t, ok := b.Tensors[in.Name]
 		if !ok {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: missing input tensor %q", k.Name, in.Name)
+			return nil, fmt.Errorf("ekl: kernel %q: missing input tensor %q", k.Name, in.Name)
 		}
 		if t.Rank() != len(in.Dims) {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: input %q has rank %d, declared %d",
+			return nil, fmt.Errorf("ekl: kernel %q: input %q has rank %d, declared %d",
 				k.Name, in.Name, t.Rank(), len(in.Dims))
 		}
 		for d, dim := range in.Dims {
 			got := t.Shape()[d]
 			if dim.Sym != "" {
 				if prev, ok := dims[dim.Sym]; ok && prev != got {
-					return nil, nil, fmt.Errorf("ekl: kernel %q: dimension %s bound to both %d and %d",
+					return nil, fmt.Errorf("ekl: kernel %q: dimension %s bound to both %d and %d",
 						k.Name, dim.Sym, prev, got)
 				}
 				dims[dim.Sym] = got
 			} else if dim.Size != got {
-				return nil, nil, fmt.Errorf("ekl: kernel %q: input %q dim %d is %d, declared %d",
+				return nil, fmt.Errorf("ekl: kernel %q: input %q dim %d is %d, declared %d",
 					k.Name, in.Name, d, got, dim.Size)
 			}
 		}
 		env.tensors[in.Name] = t
+		env.shapes.Shape[in.Name] = slices.Clone(t.Shape())
 	}
 	for _, p := range k.Params {
 		v, ok := b.Scalars[p.Name]
 		if !ok {
 			if !p.HasDef {
-				return nil, nil, fmt.Errorf("ekl: kernel %q: missing parameter %q", k.Name, p.Name)
+				return nil, fmt.Errorf("ekl: kernel %q: missing parameter %q", k.Name, p.Name)
 			}
 			v = p.Default
 		}
 		if p.IsInt && v != math.Trunc(v) {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: iparam %q must be integral, got %g", k.Name, p.Name, v)
+			return nil, fmt.Errorf("ekl: kernel %q: iparam %q must be integral, got %g", k.Name, p.Name, v)
 		}
 		env.scalars[p.Name] = v
 	}
-	return env, dims, nil
+	return env, nil
 }
 
 // evalEnv is the mutable interpreter state.
 type evalEnv struct {
-	kernel  *Kernel
+	kernel *Kernel
+	// shapes holds every tensor name in scope (shapes.Shape), the bound
+	// dimensions and the trace so far.
+	shapes Shapes
+	// tensors holds the values computed so far: every tensor under Run,
+	// the inputs and the stored statements under Infer. A tensor in scope
+	// without values reads as 0.
 	tensors map[string]*tensor.Tensor
 	scalars map[string]float64
 	idx     map[string]int // current index-variable assignment
-	trace   []StmtInfo
+	probe   bool           // one symbolic element: reductions evaluate one term
 }
 
-func (e *evalEnv) isTensor(name string) bool { _, ok := e.tensors[name]; return ok }
+func (e *evalEnv) isTensor(name string) bool { _, ok := e.shapes.Shape[name]; return ok }
 func (e *evalEnv) isScalar(name string) bool { _, ok := e.scalars[name]; return ok }
 
-// exec executes one statement.
-func (e *evalEnv) exec(s *Stmt) error {
+// stmtPlan is everything about a statement that follows from the shapes in
+// scope: its iteration space and the shape of the tensor it writes.
+type stmtPlan struct {
+	info   StmtInfo
+	bounds []int // extents of info.Free, in order
+	shape  []int // shape of the target after the statement
+	fresh  bool  // the statement creates its target
+}
+
+// plan infers a statement's free indices, the extent of every index and
+// the shape of its target, without evaluating anything.
+func (e *evalEnv) plan(s *Stmt) (stmtPlan, error) {
 	freeOrder, err := e.freeIndices(s)
 	if err != nil {
-		return err
+		return stmtPlan{}, err
 	}
 	extents, err := e.inferExtents(s, freeOrder)
 	if err != nil {
-		return err
+		return stmtPlan{}, err
 	}
 
 	bounds := make([]int, len(freeOrder))
@@ -206,9 +360,9 @@ func (e *evalEnv) exec(s *Stmt) error {
 		bounds[i] = extents[name]
 	}
 
-	target, err := e.prepareTarget(s, freeOrder, bounds)
+	shape, fresh, err := e.targetShape(s, freeOrder, bounds)
 	if err != nil {
-		return err
+		return stmtPlan{}, err
 	}
 
 	// Record the iteration space for the lowering pipeline, including any
@@ -232,24 +386,46 @@ func (e *evalEnv) exec(s *Stmt) error {
 		}
 	})
 	if sumErr != nil {
-		return sumErr
+		return stmtPlan{}, sumErr
 	}
-	e.trace = append(e.trace, info)
+	return stmtPlan{info: info, bounds: bounds, shape: shape, fresh: fresh}, nil
+}
 
-	e.idx = make(map[string]int, len(freeOrder)+4)
+// exec plans one statement, runs as much of its element loop as the mode
+// asks, and brings the statement's target into scope.
+func (e *evalEnv) exec(s *Stmt, mode execMode) error {
+	p, err := e.plan(s)
+	if err != nil {
+		return err
+	}
+	e.shapes.Trace = append(e.shapes.Trace, p.info)
+
+	var target *tensor.Tensor
+	if mode == execStore {
+		if p.fresh {
+			target = tensor.New(p.shape...)
+		} else {
+			target = e.tensors[s.Name]
+		}
+	}
+	e.idx = make(map[string]int, len(p.info.Free)+4)
+	e.probe = mode == execProbe
 	pair, isPair := s.RHS.(PairExpr)
-	it := tensor.NewIndexer(bounds)
-	lhsIdx := make([]int, 0, len(freeOrder)+1)
+	it := tensor.NewIndexer(p.bounds)
+	lhsIdx := make([]int, 0, len(p.info.Free)+1)
 	for tuple, ok := it.Next(); ok; tuple, ok = it.Next() {
-		for i, name := range freeOrder {
+		for i, name := range p.info.Free {
 			e.idx[name] = tuple[i]
 		}
 		lhsIdx = lhsIdx[:0]
 		if s.LHS != nil {
-			for _, le := range s.LHS {
+			for d, le := range s.LHS {
 				v, err := e.evalInt(le)
 				if err != nil {
 					return err
+				}
+				if v < 0 || v >= p.shape[d] {
+					return fmt.Errorf("index %d out of range [0,%d) in dim %d of %q", v, p.shape[d], d, s.Name)
 				}
 				lhsIdx = append(lhsIdx, v)
 			}
@@ -265,20 +441,32 @@ func (e *evalEnv) exec(s *Stmt) error {
 			if err != nil {
 				return err
 			}
-			target.Set(a, append(lhsIdx, 0)...)
-			target.Set(bv, append(lhsIdx, 1)...)
-			continue
+			if target != nil {
+				target.Set(a, append(lhsIdx, 0)...)
+				target.Set(bv, append(lhsIdx, 1)...)
+			}
+		} else {
+			v, err := e.eval(s.RHS)
+			if err != nil {
+				return err
+			}
+			if target != nil {
+				if s.Accumulate {
+					v += target.At(lhsIdx...)
+				}
+				target.Set(v, lhsIdx...)
+			}
 		}
-		v, err := e.eval(s.RHS)
-		if err != nil {
-			return err
+		if mode == execProbe {
+			break
 		}
-		if s.Accumulate {
-			v += target.At(lhsIdx...)
-		}
-		target.Set(v, lhsIdx...)
 	}
-	e.tensors[s.Name] = target
+	e.shapes.Shape[s.Name] = p.shape
+	if target != nil {
+		e.tensors[s.Name] = target
+	} else {
+		delete(e.tensors, s.Name)
+	}
 	return nil
 }
 
@@ -396,18 +584,18 @@ func (e *evalEnv) inferExtents(s *Stmt, free []string) (map[string]int, error) {
 			return
 		}
 		base := sub.Base.(IdentRef)
-		t, ok := e.tensors[base.Name]
+		shape, ok := e.shapes.Shape[base.Name]
 		if !ok {
 			err = fmt.Errorf("unknown tensor %q", base.Name)
 			return
 		}
-		if len(sub.Indices) != t.Rank() {
-			err = fmt.Errorf("tensor %q has rank %d but %d subscripts", base.Name, t.Rank(), len(sub.Indices))
+		if len(sub.Indices) != len(shape) {
+			err = fmt.Errorf("tensor %q has rank %d but %d subscripts", base.Name, len(shape), len(sub.Indices))
 			return
 		}
 		for d, ix := range sub.Indices {
 			if id, ok := ix.(IdentRef); ok && e.isIndexVar(id.Name) {
-				if berr := bind(id.Name, t.Shape()[d]); berr != nil {
+				if berr := bind(id.Name, shape[d]); berr != nil {
 					err = berr
 					return
 				}
@@ -421,13 +609,13 @@ func (e *evalEnv) inferExtents(s *Stmt, free []string) (map[string]int, error) {
 
 	// LHS subscripts against an existing target also constrain.
 	if s.LHS != nil {
-		if t, ok := e.tensors[s.Name]; ok {
-			if len(s.LHS) != t.Rank() {
-				return nil, fmt.Errorf("target %q has rank %d but %d subscripts", s.Name, t.Rank(), len(s.LHS))
+		if shape, ok := e.shapes.Shape[s.Name]; ok {
+			if len(s.LHS) != len(shape) {
+				return nil, fmt.Errorf("target %q has rank %d but %d subscripts", s.Name, len(shape), len(s.LHS))
 			}
 			for d, le := range s.LHS {
 				if id, ok := le.(IdentRef); ok && e.isIndexVar(id.Name) {
-					if berr := bind(id.Name, t.Shape()[d]); berr != nil {
+					if berr := bind(id.Name, shape[d]); berr != nil {
 						return nil, berr
 					}
 				}
@@ -459,41 +647,47 @@ func (e *evalEnv) inferExtents(s *Stmt, free []string) (map[string]int, error) {
 	return extents, nil
 }
 
-// prepareTarget returns the tensor the statement writes into, creating it
-// when needed.
-func (e *evalEnv) prepareTarget(s *Stmt, free []string, bounds []int) (*tensor.Tensor, error) {
-	existing, exists := e.tensors[s.Name]
+// targetShape returns the shape of the tensor the statement writes into
+// and whether the statement creates it. Writes into an existing target
+// must fit its shape.
+func (e *evalEnv) targetShape(s *Stmt, free []string, bounds []int) ([]int, bool, error) {
+	existing, exists := e.shapes.Shape[s.Name]
 	_, isPair := s.RHS.(PairExpr)
-	if exists {
-		if s.LHS == nil && !s.Accumulate {
-			// Full redefinition: fresh tensor.
-			exists = false
+	if exists && (s.LHS != nil || s.Accumulate) {
+		want := bounds
+		if s.LHS != nil {
+			// inferExtents checked the rank and bound the bare subscripts.
+			want = existing
 		}
-	}
-	if exists {
-		return existing, nil
+		if isPair {
+			want = append(append([]int(nil), want...), 2)
+		}
+		if !slices.Equal(want, existing) {
+			return nil, false, fmt.Errorf("statement of shape %v cannot write into %q of shape %v", want, s.Name, existing)
+		}
+		return existing, false, nil
 	}
 	if s.Accumulate {
-		return nil, fmt.Errorf("accumulation target %q does not exist yet", s.Name)
+		return nil, false, fmt.Errorf("accumulation target %q does not exist yet", s.Name)
 	}
 	shape := bounds
 	if s.LHS != nil {
 		// Creating via explicit LHS requires bare distinct index vars so the
 		// shape is well-defined.
 		if len(s.LHS) != len(free) {
-			return nil, fmt.Errorf("cannot create %q: explicit subscripts must be bare distinct index variables", s.Name)
+			return nil, false, fmt.Errorf("cannot create %q: explicit subscripts must be bare distinct index variables", s.Name)
 		}
 		for i, le := range s.LHS {
 			id, ok := le.(IdentRef)
 			if !ok || id.Name != free[i] {
-				return nil, fmt.Errorf("cannot create %q: subscript %d is not a bare index variable", s.Name, i)
+				return nil, false, fmt.Errorf("cannot create %q: subscript %d is not a bare index variable", s.Name, i)
 			}
 		}
 	}
 	if isPair {
 		shape = append(append([]int(nil), bounds...), 2)
 	}
-	return tensor.New(shape...), nil
+	return shape, true, nil
 }
 
 // eval evaluates an expression to a float64 under the current index
@@ -510,19 +704,25 @@ func (e *evalEnv) eval(x Expr) (float64, error) {
 		if v, ok := e.idx[t.Name]; ok {
 			return float64(v), nil
 		}
-		if tt, ok := e.tensors[t.Name]; ok {
-			if tt.Rank() == 0 {
+		if shape, ok := e.shapes.Shape[t.Name]; ok {
+			if len(shape) != 0 {
+				return 0, fmt.Errorf("tensor %q used without subscripts", t.Name)
+			}
+			if tt, ok := e.tensors[t.Name]; ok {
 				return tt.Item(), nil
 			}
-			return 0, fmt.Errorf("tensor %q used without subscripts", t.Name)
+			return 0, nil
 		}
 		return 0, fmt.Errorf("unbound identifier %q", t.Name)
 
 	case SubscriptExpr:
 		base := t.Base.(IdentRef)
-		tt, ok := e.tensors[base.Name]
+		shape, ok := e.shapes.Shape[base.Name]
 		if !ok {
 			return 0, fmt.Errorf("unknown tensor %q", base.Name)
+		}
+		if len(t.Indices) != len(shape) {
+			return 0, fmt.Errorf("tensor %q has rank %d but %d subscripts", base.Name, len(shape), len(t.Indices))
 		}
 		idx := make([]int, len(t.Indices))
 		for d, ix := range t.Indices {
@@ -530,13 +730,16 @@ func (e *evalEnv) eval(x Expr) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if v < 0 || v >= tt.Shape()[d] {
+			if v < 0 || v >= shape[d] {
 				return 0, fmt.Errorf("index %d out of range [0,%d) in dim %d of %q",
-					v, tt.Shape()[d], d, base.Name)
+					v, shape[d], d, base.Name)
 			}
 			idx[d] = v
 		}
-		return tt.At(idx...), nil
+		if tt, ok := e.tensors[base.Name]; ok {
+			return tt.At(idx...), nil
+		}
+		return 0, nil
 
 	case BinaryExpr:
 		l, err := e.eval(t.L)
@@ -639,6 +842,9 @@ func (e *evalEnv) eval(x Expr) (float64, error) {
 				return 0, err
 			}
 			total += v
+			if e.probe {
+				break
+			}
 		}
 		for i, name := range t.Indices {
 			if hadPrev[i] {
@@ -673,16 +879,16 @@ func (e *evalEnv) sumExtents(se SumExpr) (map[string]int, error) {
 			return
 		}
 		base := sub.Base.(IdentRef)
-		t, ok := e.tensors[base.Name]
+		shape, ok := e.shapes.Shape[base.Name]
 		if !ok {
 			return
 		}
 		for d, ix := range sub.Indices {
-			if d >= t.Rank() {
+			if d >= len(shape) {
 				return
 			}
 			if id, ok := ix.(IdentRef); ok && want[id.Name] {
-				ext := t.Shape()[d]
+				ext := shape[d]
 				if prev, ok := extents[id.Name]; ok && prev != ext {
 					err = fmt.Errorf("sum index %q constrained to both %d and %d", id.Name, prev, ext)
 					return

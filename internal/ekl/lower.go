@@ -9,15 +9,17 @@ import (
 )
 
 // Lower compiles a kernel into the EVEREST MLIR stack (paper Fig. 5): it
-// first executes the kernel on the binding to specialize all shapes (shape
-// inference by abstract execution), then emits an ekl-dialect module whose
-// statement ops carry the concrete iteration spaces.
+// first infers every statement's iteration space and every tensor's shape
+// from the binding (Kernel.Infer: shapes, not values, so the cost follows
+// the program rather than the data), then emits an ekl-dialect module
+// whose statement ops carry the concrete iteration spaces. It fails
+// exactly when Kernel.Run fails on the same binding.
 //
 // The returned module verifies under the registered dialects and can be
 // progressively lowered with LowerToTeIL and LowerToAffine, which is the
 // pipeline measured by experiment E2.
-func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
-	res, err := k.Run(b)
+func Lower(k *Kernel, b Binding) (*mlir.Module, *Shapes, error) {
+	sh, err := k.Infer(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -34,12 +36,11 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 	// Materialize inputs and params as ekl.tensor bindings.
 	vals := make(map[string]*mlir.Value)
 	for _, in := range k.Inputs {
-		t := res.All[in.Name]
 		elem := mlir.F64()
 		if in.IsIndex {
 			elem = mlir.Index()
 		}
-		op := kb.Create("ekl.tensor", nil, []mlir.Type{mlir.TensorOf(elem, t.Shape()...)},
+		op := kb.Create("ekl.tensor", nil, []mlir.Type{mlir.TensorOf(elem, sh.Shape[in.Name]...)},
 			map[string]mlir.Attribute{"name": mlir.StringAttr(in.Name), "kind": mlir.StringAttr("input")})
 		op.Result(0).SetName(in.Name)
 		vals[in.Name] = op.Result(0)
@@ -53,8 +54,7 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 
 	// Lower statements in order using the recorded iteration spaces.
 	for i, s := range k.Stmts {
-		info := res.Trace[i]
-		lw := &stmtLowerer{b: kb, vals: vals, info: info, res: res}
+		lw := &stmtLowerer{b: kb, vals: vals, info: sh.Trace[i]}
 		v, err := lw.lowerExpr(s.RHS)
 		if err != nil {
 			return nil, nil, fmt.Errorf("ekl: lowering %q line %d: %w", s.Name, s.Line, err)
@@ -69,7 +69,7 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 	if err := m.Verify(); err != nil {
 		return nil, nil, fmt.Errorf("ekl: lowered module does not verify: %w", err)
 	}
-	return m, res, nil
+	return m, sh, nil
 }
 
 // stmtLowerer lowers one statement's expression tree.
@@ -77,7 +77,6 @@ type stmtLowerer struct {
 	b    *mlir.Builder
 	vals map[string]*mlir.Value
 	info StmtInfo
-	res  *Result
 }
 
 func (l *stmtLowerer) resultType(indices []string) mlir.Type {
@@ -483,14 +482,4 @@ func LowerToAffine() mlir.Pass {
 		}
 		return nil
 	}}
-}
-
-// SpecializedShapes returns name -> shape for everything the kernel computed
-// under the binding; used by tests and by Olympus buffer sizing.
-func SpecializedShapes(res *Result) map[string][]int {
-	out := make(map[string][]int, len(res.All))
-	for name, t := range res.All {
-		out[name] = t.Shape()
-	}
-	return out
 }

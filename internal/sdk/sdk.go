@@ -46,7 +46,7 @@ type CompileResult struct {
 }
 
 // Compile runs the full data-driven compilation flow of §V on an EKL kernel
-// source: parse/check, shape-specialize against the binding, lower through
+// source: parse/check, infer shapes from the binding, lower through
 // the MLIR dialect stack, HLS-schedule, and generate the FPGA system
 // architecture. It delegates to the variant-generation pipeline
 // (internal/variants), so the result also carries the derived operating

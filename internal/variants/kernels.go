@@ -104,7 +104,7 @@ func CompileExample(name string, opt Options) (*Compiled, error) {
 // with zeros (always in range), and parameters take their declared
 // defaults (1 for defaultless iparams, 0.5 otherwise). Shapes, not values,
 // drive hardware generation — the values only feed the reference
-// interpretation that specializes them.
+// interpretation (Kernel.Run), and the gathers a computed subscript makes.
 func SynthesizeBinding(k *ekl.Kernel, extents map[string]int) ekl.Binding {
 	b := ekl.Binding{
 		Tensors: make(map[string]*tensor.Tensor),

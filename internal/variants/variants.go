@@ -174,9 +174,11 @@ func CPUFlops(nest hls.LoopNest) float64 {
 }
 
 // CompileEKL runs the EKL source through the full flow (parse/check,
-// shape-specialize against the binding, lower ekl -> teil -> affine,
-// HLS-schedule, generate the system architecture) and derives the variant
-// operating points.
+// infer shapes and iteration spaces from the binding, lower ekl -> teil ->
+// affine, HLS-schedule, generate the system architecture) and derives the
+// variant operating points. Only the binding's shapes shape the design;
+// its values matter only where a computed subscript reads them, which is
+// how the flow keeps rejecting exactly the bindings Kernel.Run rejects.
 func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error) {
 	backend, format, dev, cpu, err := opt.normalize()
 	if err != nil {
@@ -189,7 +191,7 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 	if err := k.Check(); err != nil {
 		return nil, err
 	}
-	module, res, err := ekl.Lower(k, binding)
+	module, sh, err := ekl.Lower(k, binding)
 	if err != nil {
 		return nil, err
 	}
@@ -198,22 +200,22 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 		return nil, err
 	}
 
-	hk := hls.FromEKLKernel(k, res, format)
+	hk := hls.FromEKLKernel(k, sh, format)
 
 	// PLM planning: inputs phase 0, outputs phase 1 (as the SDK façade does).
 	var buffers []olympus.Buffer
 	elemBytes := int64((format.Bits() + 7) / 8)
 	var inBytes, outBytes int64
 	for _, in := range k.Inputs {
-		if t, ok := res.All[in.Name]; ok {
-			n := int64(t.Size()) * elemBytes
+		if size, ok := sh.Size(in.Name); ok {
+			n := int64(size) * elemBytes
 			inBytes += n
 			buffers = append(buffers, olympus.Buffer{Name: in.Name, Bytes: n, Phase: 0})
 		}
 	}
 	for _, out := range k.Outputs {
-		if t, ok := res.All[out.Name]; ok {
-			n := int64(t.Size()) * elemBytes
+		if size, ok := sh.Size(out.Name); ok {
+			n := int64(size) * elemBytes
 			outBytes += n
 			buffers = append(buffers, olympus.Buffer{Name: out.Name, Bytes: n, Phase: 1})
 		}
